@@ -243,7 +243,7 @@ pub struct ReplayCounts {
 pub struct Replay {
     /// Every span recorded.
     pub tracer: Tracer,
-    /// Counts for the fidelity check.
+    /// Per-layer counts and the fidelity check's inputs.
     pub counts: ReplayCounts,
     /// Wall time of the replay itself (seconds).
     pub wall_s: f64,
