@@ -116,27 +116,36 @@ def metric_values(result):
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def untraced(binary, args, deadline):
-    common = ["--workload", args.workload, "--seed", str(args.seed), "--mode", "run"]
+def repeat(binary, args, mode, deadline, first=()):
+    """Runs repetitions, each in a fresh process, until `--seconds` is spent.
+
+    A repetition starts only if one more as long as the last still fits.
+    Every repetition must pass its checks and share one fingerprint.
+    """
+    common = ["--workload", args.workload, "--seed", str(args.seed), "--mode", mode]
     clock = time.monotonic()
-    runs = []
+    results = []
     while True:
-        extra = ["--conformance"] if not runs else []
         started = time.monotonic()
-        result = child(binary, [*common, *extra], deadline)
+        result = child(binary, [*common, *(() if results else first)], deadline)
         if not result["correct"]:
-            attempted = sum(r["issued"] for r in [*runs, result])
-            fail(f"repetition {len(runs) + 1}: {result['reason']}", attempted, result["failed"])
-        runs.append(result)
+            attempted = sum(r["issued"] for r in [*results, result])
+            fail(f"repetition {len(results) + 1}: {result['reason']}", attempted, result["failed"])
+        results.append(result)
         spent = time.monotonic() - started
         if time.monotonic() - clock + spent > args.seconds:
             break
-    attempted = sum(r["issued"] for r in runs)
-    if len({r["fingerprint"] for r in runs}) != 1:
-        fail("two repetitions of one seed diverged", attempted, runs[0]["issued"])
-    values = [metric_values(r) for r in runs]
-    for line in runs[0]["lines"]:
+    if len({r["fingerprint"] for r in results}) != 1:
+        fail("two repetitions of one seed diverged", sum(r["issued"] for r in results), results[-1]["issued"])
+    for line in results[0]["lines"]:
         print(line)
+    return results
+
+
+def untraced(binary, args, deadline):
+    # The first repetition of a TCP workload also checks it against DES.
+    runs = repeat(binary, args, "run", deadline, first=["--conformance"])
+    values = [metric_values(r) for r in runs]
     print(f"repetitions {len(runs)} wall_s {[round(r['wall_s'], 4) for r in runs]}")
     print("virtual " + " ".join(f"{k}={values[0][k]}" for k in VIRTUAL))
     metrics = {
@@ -146,26 +155,12 @@ def untraced(binary, args, deadline):
     }
     for name in ("e2e_p50_ms", "e2e_p99_ms", "commit_p50_ms", "commit_p99_ms"):
         metrics[name] = values[0][name]
+    attempted = sum(r["issued"] for r in runs)
     return attempted, {name: {"value": metrics[name], "unit": unit} for name, unit in END_TO_END}
 
 
 def traced(binary, args, deadline):
-    common = ["--workload", args.workload, "--seed", str(args.seed), "--mode", "trace"]
-    clock = time.monotonic()
-    pairs = []
-    while True:
-        started = time.monotonic()
-        result = child(binary, common, deadline)
-        if not result["correct"]:
-            fail(result["reason"], sum(p["issued"] for p in [*pairs, result]), result["failed"])
-        pairs.append(result)
-        spent = time.monotonic() - started
-        if time.monotonic() - clock + spent > args.seconds:
-            break
-    if len({p["fingerprint"] for p in pairs}) != 1:
-        fail("two repetitions of one seed diverged", sum(p["issued"] for p in pairs))
-    for line in pairs[0]["lines"]:
-        print(line)
+    pairs = repeat(binary, args, "trace", deadline)
     print(f"repetitions {len(pairs)} (per-layer values are medians over them)")
     values = [metric_values(p) for p in pairs]
     metrics = {
