@@ -7,15 +7,17 @@
 //!
 //! `run` sets the workload up [`SETUPS`] times, runs the real `run_scenario`
 //! (or `run_scenario_with_transport`) once untraced, checks the outcome
-//! and reports this process's wall time, set-up samples, peak RSS and
-//! the run's virtual latencies. `--conformance` additionally checks
-//! that a TCP run is byte-identical to the DES run of the same spec.
+//! and reports this process's wall time, its wall time per slice of
+//! virtual time, set-up samples, peak RSS and the run's virtual
+//! latencies. `--conformance` additionally checks that a TCP run is
+//! byte-identical to the DES run of the same spec.
 //! `trace` runs once untraced, then the traced run, and reports the
 //! per-layer metrics. `run.py` drives this binary, one fresh process per
 //! repetition, and aggregates; the last line of standard output is one
 //! JSON object. See `README.md`.
 
 mod replay;
+mod slices;
 mod trace;
 mod workloads;
 
@@ -25,11 +27,12 @@ use drams_core::scenario::{run_scenario, run_scenario_with_transport, ScenarioSp
 use drams_core::PdpPlacement;
 use drams_crypto::codec::Encode;
 use drams_crypto::sha256::Digest;
-use drams_faas::des::{LatencyStats, SimTime};
+use drams_faas::des::{LatencyStats, SimTime, SECONDS};
 use drams_faas::msg::CorrelationId;
 use drams_faas::transport::{Transport, WireFrame, WireRole};
 use drams_net::TcpTransport;
 use replay::{Deployment, Replay};
+use slices::SliceClock;
 use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::process::ExitCode;
@@ -46,8 +49,12 @@ const FIDELITY_TOLERANCE: f64 = 0.01;
 /// alone; within the run that recorded the spans the check is strict.
 const WALL_NOISE: f64 = 0.25;
 /// Set-ups timed per repetition: set-up is cheap next to a run, and
-/// several samples per process steady its median.
-const SETUPS: usize = 3;
+/// several samples per process steady its median (the first set-up in a
+/// fresh process is the slowest).
+const SETUPS: usize = 5;
+/// Slices the untraced run's nominal virtual duration (requests ÷ base
+/// rate) is cut into; see `slices.rs`.
+const SLICES: u64 = 200;
 /// Where the traced run writes its spans (relative to the checkout).
 const TRACE_DIR: &str = "perfbench/out";
 
@@ -118,8 +125,10 @@ impl From<String> for Failure {
 /// What one process reports to `run.py`.
 struct Output {
     issued: u64,
+    completed: u64,
     fingerprint: String,
     wall_s: f64,
+    slices_s: Vec<f64>,
     setup_s: Vec<f64>,
     metrics: Vec<Metric>,
 }
@@ -147,6 +156,7 @@ fn json_metrics(metrics: &[Metric]) -> String {
 /// One untraced run of the workload.
 struct Run {
     wall_s: f64,
+    slices_s: Vec<f64>,
     report: MonitorReport,
     truth: GroundTruth,
 }
@@ -204,14 +214,21 @@ fn wire_roles(spec: &ScenarioSpec) -> Vec<WireRole> {
         .collect()
 }
 
+/// Virtual time per slice of a run of `spec`.
+fn slice(spec: &ScenarioSpec) -> SimTime {
+    let nominal_s = spec.config.total_requests as f64 / spec.config.request_rate_per_sec;
+    (nominal_s * SECONDS as f64 / SLICES as f64) as SimTime
+}
+
 /// Runs a prepared set-up once, untraced.
 fn run(set_up: SetUp) -> Run {
     let SetUp {
         spec,
-        mut adversary,
+        adversary,
         transport,
         ..
     } = set_up;
+    let mut adversary = SliceClock::new(adversary, slice(&spec));
     let start = Instant::now();
     let ((report, truth), transport) = match transport {
         Some(mut transport) => (
@@ -220,11 +237,12 @@ fn run(set_up: SetUp) -> Run {
         ),
         None => (run_scenario(&spec, &mut adversary), None),
     };
-    let wall_s = start.elapsed().as_secs_f64();
+    let end = Instant::now();
     // Endpoint threads are joined here, outside the timed run.
     drop(transport);
     Run {
-        wall_s,
+        wall_s: end.duration_since(start).as_secs_f64(),
+        slices_s: adversary.slices_s(start, end),
         report,
         truth,
     }
@@ -436,8 +454,10 @@ fn untraced(args: &Args) -> Result<Output, Failure> {
     ));
     Ok(Output {
         issued: report.requests_issued,
+        completed: report.requests_completed,
         fingerprint: fingerprint(report, &run.truth),
         wall_s: run.wall_s,
+        slices_s: run.slices_s,
         setup_s,
         metrics,
     })
@@ -696,8 +716,10 @@ fn traced(args: &Args) -> Result<Output, Failure> {
     ));
     Ok(Output {
         issued: report.requests_issued,
+        completed: report.requests_completed,
         fingerprint: untraced_fingerprint,
         wall_s: run.wall_s,
+        slices_s: run.slices_s,
         setup_s: Vec::new(),
         metrics,
     })
@@ -752,14 +774,20 @@ fn main() -> ExitCode {
     };
     match outcome {
         Ok(out) => {
-            let setups: Vec<String> = out.setup_s.iter().map(|s| json_number(*s)).collect();
+            let list = |xs: &[f64]| -> String {
+                let xs: Vec<String> = xs.iter().map(|x| json_number(*x)).collect();
+                xs.join(", ")
+            };
             println!(
-                "{{\"correct\": true, \"issued\": {}, \"failed\": 0, \"fingerprint\": \"{}\", \
-                 \"wall_s\": {}, \"setup_s\": [{}], \"metrics\": {}}}",
+                "{{\"correct\": true, \"issued\": {}, \"completed\": {}, \"failed\": 0, \
+                 \"fingerprint\": \"{}\", \"wall_s\": {}, \"slices_s\": [{}], \
+                 \"setup_s\": [{}], \"metrics\": {}}}",
                 out.issued,
+                out.completed,
                 out.fingerprint,
                 json_number(out.wall_s),
-                setups.join(", "),
+                list(&out.slices_s),
+                list(&out.setup_s),
                 json_metrics(&out.metrics)
             );
             ExitCode::SUCCESS
