@@ -5,63 +5,21 @@
 //!
 //! Run with `--release`: E1/E2 perform real proof-of-work hashing.
 //!
-//! `e5` and `e6` additionally write the machine-readable PDP perf
-//! trajectory to `BENCH_PDP.json` at the repo root (µs/decision per
-//! policy-base size, interpreter vs compiled engine; monitoring
-//! overhead), `e9` writes the crypto-substrate trajectory to
-//! `BENCH_CRYPTO.json` (Montgomery fast path vs the Algorithm D
-//! reference; batch vs individual Schnorr verification), and `e10`
-//! writes the end-to-end scenario trajectory to `BENCH_E2E.json` (one
-//! row per named scenario of the event-driven runtime; `--scenario
-//! <name>` restricts the matrix to one scenario without touching the
-//! trajectory file), and `e11` writes the storage-engine trajectory to
-//! `BENCH_STORE.json` (append/replay/snapshot cost per backend ×
-//! durability, plus one row per crash-restart recovery scenario), and
-//! `e12` writes the adversarial-fuzzing trajectory to `BENCH_FUZZ.json`
-//! (seed-generated scenarios checked against the three-part ground-truth
-//! oracle; oracle violations are shrunk to a minimal reproduction,
-//! printed as Rust, and fail the run), and `e13` writes the fault-plane
-//! trajectory to `BENCH_FAULT.json` (availability and retry/failover/
-//! spill-replay counters under declared network faults, attack campaigns
-//! that must stay fully detected under those faults, and a PDP crash
-//! under duplicating faults that must stay byte-identical to its
-//! uninterrupted twin; any false positive, missed detection, abandoned
-//! request or twin divergence fails the run), and `e14` writes the
-//! overload trajectory to `BENCH_LOAD.json` (a ≥100k-request
-//! Zipf-skewed flash crowd with admission control and every
-//! bounded-state cap armed: shed/degraded counters, eviction and
-//! retirement counters, and peak tracked-state gauges per component;
-//! a false alert under honest overload, a missed detection while
-//! shedding, a crash-twin divergence, or any peak column more than
-//! doubling against the committed file fails the run), and `e15`
-//! writes the parallel-scaling trajectory to `BENCH_PAR.json` (the
-//! signature-audit, PDP-evaluation and million-request flash-crowd
-//! workloads replayed at worker counts 1/2/4/8 through the
-//! `drams_faas::par` pool: throughput and speedup per row, with a
-//! determinism gate asserting every parallel replay byte-identical to
-//! the sequential run and an adaptive speedup gate — either flag
-//! going false fails the run), and `e16` writes the real-transport
-//! trajectory to `BENCH_NET.json` (loopback TCP round-trip latency and
-//! frame throughput per payload size, endpoint kill/re-provision cost,
-//! and a DES-vs-TCP conformance replay whose `matched` flag going
-//! false fails the run).
-//! `--quick` shrinks the sweeps to CI-smoke size — the JSON records
-//! which mode produced it.
+//! E5/E6 and E9–E16 also rewrite their committed `BENCH_*.json`
+//! trajectory at the repo root ([`drams_bench::trajectory::FILES`]); a
+//! section whose experiment did not run is carried over from the
+//! committed file. Each file is written first, then its gates
+//! ([`drams_bench::trajectory::GATES`]) are applied, so a regression is
+//! recorded in the diff before the non-zero exit fails the run.
+//! `--scenario <name>` restricts E10 to one scenario and leaves
+//! `BENCH_E2E.json` untouched. `--quick` shrinks the sweeps to CI-smoke
+//! size — each section records which mode produced it. An unknown
+//! selector or flag prints the valid set and exits 2.
 
 use drams_attack::{score, FaultWindow, ScriptedAdversary, ThreatKind, WindowedAdversary};
-use drams_bench::crypto_trajectory::{self, CryptoSummary, OldNew};
-use drams_bench::e2e_trajectory::{self, ScenarioRow};
-use drams_bench::fault_trajectory::{self, DetectionRow, FaultRow, FaultSummary, TwinCheck};
-use drams_bench::fuzz_trajectory::{self, FuzzSummary};
-use drams_bench::load_trajectory::{self, LoadRow, LoadSummary, PEAK_COLUMNS};
 use drams_bench::log_entry_of_size;
-use drams_bench::net_trajectory;
-use drams_bench::par_trajectory;
 use drams_bench::scenarios;
-use drams_bench::store_trajectory::{self, EngineRow, RecoveryRow};
-use drams_bench::trajectory::{
-    render_json, repo_root_path, LatencySummary, MonitoringOverhead, PdpScalingRow,
-};
+use drams_bench::trajectory::{ratio, section, Object, FILES};
 use drams_chain::block::Block;
 use drams_chain::chain::ChainConfig;
 use drams_chain::fork::{integrity_sweep, nakamoto_success_probability};
@@ -69,7 +27,7 @@ use drams_chain::net::{simulate, NetConfig};
 use drams_chain::node::Node;
 use drams_core::adversary::NoAdversary;
 use drams_core::contract::{MonitorContract, MONITOR_CONTRACT};
-use drams_core::monitor::{run_monitor, MonitorConfig};
+use drams_core::monitor::{run_monitor, GroundTruth, MonitorConfig, MonitorReport};
 use drams_crypto::codec::Encode;
 use drams_crypto::schnorr::Keypair;
 use drams_faas::des::{MILLIS, SECONDS};
@@ -78,381 +36,160 @@ use drams_faas::workload::{PolicyGenerator, PolicyShape, RequestGenerator, Vocab
 use drams_policy::pdp::Pdp;
 use std::time::Instant;
 
+/// The sections an experiment contributes to the committed trajectories.
+type Sections = Vec<(&'static str, Object)>;
+
+/// Runs one experiment.
+type Run = fn(&Args) -> Sections;
+
+/// Every experiment in run order, with the sections it produces.
+#[rustfmt::skip]
+const EXPERIMENTS: [(&str, Run); 16] = [
+    ("e1", |_| { e1_log_size_vs_latency(); Vec::new() }),
+    ("e2", |_| { e2_pow_tuning_and_integrity(); Vec::new() }),
+    ("e3", |_| { e3_hybrid_store(); Vec::new() }),
+    ("e4", |_| { e4_detection_matrix(); Vec::new() }),
+    ("e5", |a| vec![("e5_pdp_scaling", e5_policy_engine_scaling(a.quick))]),
+    ("e6", |a| vec![("e6_monitoring_overhead", e6_monitoring_overhead(a.quick))]),
+    ("e7", |_| { e7_federation_scalability(); Vec::new() }),
+    ("e8", |_| { e8_ablations(); Vec::new() }),
+    ("e9", |a| vec![("e9_crypto", e9_crypto_substrate(a.quick))]),
+    ("e10", |a| {
+        let rows = e10_scenario_matrix(a.quick, a.scenario.as_deref());
+        if a.scenario.is_some() {
+            // A filtered run prints its table but does not rewrite the
+            // committed file with a partial matrix.
+            println!("\n(--scenario filter active: BENCH_E2E.json left untouched)");
+            return Vec::new();
+        }
+        vec![("e10_scenarios", rows)]
+    }),
+    ("e11", |a| {
+        let (engine, recovery) = e11_storage_and_recovery(a.quick);
+        vec![("e11_store_engine", engine), ("e11_recovery", recovery)]
+    }),
+    ("e12", |a| vec![("e12_fuzz", e12_adversarial_fuzz(a.quick))]),
+    ("e13", |a| vec![("e13_faults", e13_fault_plane(a.quick))]),
+    ("e14", |a| vec![("e14_load", e14_overload(a.quick))]),
+    ("e15", |a| vec![("e15_parallel", e15_parallel(a.quick))]),
+    ("e16", |a| vec![("e16_net", e16_net(a.quick))]),
+];
+
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// Selected experiments; empty means all.
+    selected: Vec<String>,
+    quick: bool,
+    scenario: Option<String>,
+}
+
+impl Args {
+    fn wants(&self, experiment: &str) -> bool {
+        self.selected.is_empty() || self.selected.iter().any(|s| s == experiment)
+    }
+}
+
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut all = false;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--quick" => parsed.quick = true,
+            "--scenario" => {
+                let name = args.next().ok_or("--scenario needs a scenario name")?;
+                parsed.scenario = Some(name.clone());
+            }
+            "all" => all = true,
+            e if EXPERIMENTS.iter().any(|(name, _)| *name == e) => {
+                parsed.selected.push(e.to_string());
+            }
+            other => {
+                let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
+                return Err(format!(
+                    "unknown argument {other:?}; experiments are {}, all; flags are --quick, --scenario <name>",
+                    names.join(", ")
+                ));
+            }
+        }
+    }
+    if all {
+        parsed.selected.clear();
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scenario_filter = args
-        .iter()
-        .position(|a| a == "--scenario")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let mut skip_next = false;
-    let which: Vec<&String> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--scenario" {
-                skip_next = true;
-            }
-            !a.starts_with("--")
-        })
-        .collect();
-    let all = which.is_empty() || which.iter().any(|w| *w == "all");
-    let want = |name: &str| all || which.iter().any(|w| *w == name);
+    let args = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("{e}\nusage: run_experiments [e1..e16|all]... [--quick] [--scenario <name>]");
+        std::process::exit(2);
+    });
 
     println!("DRAMS experiment suite — reproduction of Ferdous et al., ICDCS 2017");
     println!("(derived from the paper's §III claims; see EXPERIMENTS.md)\n");
 
-    if want("e1") {
-        e1_log_size_vs_latency();
-    }
-    if want("e2") {
-        e2_pow_tuning_and_integrity();
-    }
-    if want("e3") {
-        e3_hybrid_store();
-    }
-    if want("e4") {
-        e4_detection_matrix();
-    }
-    let e5_rows = want("e5").then(|| e5_policy_engine_scaling(quick));
-    let e6_summary = want("e6").then(|| e6_monitoring_overhead(quick));
-    if want("e7") {
-        e7_federation_scalability();
-    }
-    if want("e8") {
-        e8_ablations();
-    }
-    let e9_summary = want("e9").then(|| e9_crypto_substrate(quick));
-    let e10_rows = want("e10").then(|| e10_scenario_matrix(quick, scenario_filter.as_deref()));
-    let e11_results = want("e11").then(|| e11_storage_and_recovery(quick));
-    let e12_summary = want("e12").then(|| e12_adversarial_fuzz(quick));
-    let e13_summary = want("e13").then(|| e13_fault_plane(quick));
-    let e14_summary = want("e14").then(|| e14_overload(quick));
-    let e15_summary = want("e15").then(|| e15_parallel(quick));
-    let e16_summary = want("e16").then(|| e16_net(quick));
-
-    // The tracked perf trajectory: whenever E5 and/or E6 ran, rewrite
-    // BENCH_PDP.json at the repo root so the diff shows what moved. A
-    // section whose experiment did not run this invocation is carried
-    // over from the existing file instead of being dropped.
-    if e5_rows.is_some() || e6_summary.is_some() {
-        let path = repo_root_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = render_json(
-            quick,
-            e5_rows.as_deref(),
-            e6_summary.as_ref(),
-            previous.as_deref(),
-        );
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("\nwrote perf trajectory to {}", path.display()),
-            Err(e) => {
-                // Exit non-zero so CI's perf-smoke step cannot pass
-                // against a stale committed file.
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
+    let mut fresh: Vec<(String, Object)> = Vec::new();
+    for (name, run) in EXPERIMENTS {
+        if args.wants(name) {
+            for (name, fields) in run(&args) {
+                fresh.push((name.to_string(), section(args.quick, fields)));
             }
         }
     }
 
-    // The crypto-substrate trajectory: same carry-forward contract.
-    if let Some(summary) = e9_summary {
-        let path = crypto_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = crypto_trajectory::render_json(quick, Some(&summary), previous.as_deref());
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote crypto trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-    }
-
-    // The end-to-end scenario trajectory: same carry-forward contract.
-    // A filtered run (--scenario) prints its table but does not rewrite
-    // the committed file with a partial matrix.
-    if let Some(rows) = e10_rows {
-        if scenario_filter.is_some() {
-            println!("\n(--scenario filter active: BENCH_E2E.json left untouched)");
-        } else {
-            let path = e2e_trajectory::repo_path();
-            let previous = std::fs::read_to_string(&path).ok();
-            // Wall-clock regression gate: a scenario's real-time factor
-            // (virtual seconds per wall second) must stay within 2x of
-            // the committed same-mode figure. Wall clock is noisy across
-            // hosts, so the bar is deliberately loose — it catches
-            // order-of-magnitude slowdowns, not jitter.
-            let mut slowdowns = Vec::new();
-            if let Some((prev_quick, prev_speedups)) = previous
-                .as_deref()
-                .and_then(e2e_trajectory::parse_sim_speedups)
-            {
-                if prev_quick == quick {
-                    for (name, prev) in &prev_speedups {
-                        if let Some(row) = rows.iter().find(|r| &r.name == name) {
-                            if *prev > 0.0 && row.sim_speedup < 0.5 * prev {
-                                slowdowns.push(format!(
-                                    "{name}: sim_speedup {prev:.1} -> {:.1}",
-                                    row.sim_speedup
-                                ));
-                            }
-                        }
-                    }
-                }
-            }
-            let json = e2e_trajectory::render_json(quick, Some(&rows), previous.as_deref());
-            match std::fs::write(&path, &json) {
-                Ok(()) => println!("wrote e2e trajectory to {}", path.display()),
-                Err(e) => {
-                    eprintln!("\nfailed to write {}: {e}", path.display());
-                    std::process::exit(1);
-                }
-            }
-            if !slowdowns.is_empty() {
-                eprintln!("\nscenario wall-clock regressed more than 2x vs the committed file:");
-                for s in &slowdowns {
-                    eprintln!("  {s}");
-                }
-                std::process::exit(1);
-            }
-        }
-    }
-    // The storage-engine trajectory: same carry-forward contract. The
-    // file is written *before* the byte-identity verdict is enforced,
-    // so a recovery regression is recorded as `matched: false` in the
-    // trajectory (and in the diff) rather than vanishing in a panic —
-    // the non-zero exit below still fails the run and CI.
-    if let Some((engine_rows, recovery_rows)) = e11_results {
-        let path = store_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = store_trajectory::render_json(
-            quick,
-            Some(&engine_rows),
-            Some(&recovery_rows),
-            previous.as_deref(),
-        );
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote store trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        let diverged: Vec<&str> = recovery_rows
+    println!();
+    for file in &FILES {
+        let ran: Vec<(String, Object)> = fresh
             .iter()
-            .filter(|r| !r.matched)
-            .map(|r| r.scenario.as_str())
+            .filter(|(name, _)| file.sections.contains(&name.as_str()))
+            .cloned()
             .collect();
-        if !diverged.is_empty() {
-            eprintln!("\ncrash-restart diverged from the uninterrupted run: {diverged:?}");
+        if ran.is_empty() {
+            continue;
+        }
+        let path = file.path();
+        let previous = file.committed().unwrap_or_else(|e| {
+            eprintln!("ignoring unreadable {}: {e}", path.display());
+            None
+        });
+        let text = file.assemble(&ran, previous.as_ref()).render();
+        if let Err(e) = std::fs::write(&path, text) {
+            // Exit non-zero so a CI smoke step cannot pass against a
+            // stale committed file.
+            eprintln!("\nfailed to write {}: {e}", path.display());
             std::process::exit(1);
         }
-    }
-    // The fuzzing trajectory: as with E11, the file is written *before*
-    // the oracle verdict is enforced, so a detection regression shows up
-    // in the committed diff as a non-zero violation count rather than
-    // vanishing in a panic — the non-zero exit still fails CI.
-    if let Some(summary) = e12_summary {
-        let path = fuzz_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = fuzz_trajectory::render_json(quick, Some(&summary), previous.as_deref());
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote fuzz trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
+        println!("wrote {}", path.display());
+        let failures = file.gate_failures(&ran, previous.as_ref());
+        if !failures.is_empty() {
+            eprintln!("\n{} failed its gates:", file.file);
+            for failure in &failures {
+                eprintln!("  {failure}");
             }
-        }
-        if summary.violations > 0 {
-            eprintln!(
-                "\nfuzz oracle violations: {} (shrunk reproductions above)",
-                summary.violations
-            );
-            std::process::exit(1);
-        }
-    }
-    // The fault-plane trajectory: written *before* the verdict is
-    // enforced, so a robustness regression is recorded in the committed
-    // diff (a false positive, an abandoned request, a missed detection
-    // or a twin divergence) rather than vanishing in a panic — the
-    // non-zero exit below still fails the run and CI.
-    if let Some(summary) = e13_summary {
-        let path = fault_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = fault_trajectory::render_json(quick, Some(&summary), previous.as_deref());
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote fault trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        if !summary.clean() {
-            for r in &summary.rows {
-                if r.alerts > 0 {
-                    eprintln!(
-                        "false positives under faults in {}: {}",
-                        r.scenario, r.alerts
-                    );
-                }
-                if r.dropped > 0 {
-                    eprintln!(
-                        "abandoned requests under faults in {}: {}",
-                        r.scenario, r.dropped
-                    );
-                }
-            }
-            for d in &summary.detection {
-                if d.detected < d.attacks || d.false_positives > 0 {
-                    eprintln!(
-                        "detection under faults degraded for {}: {}/{} detected, {} fp",
-                        d.threat, d.detected, d.attacks, d.false_positives
-                    );
-                }
-            }
-            if !summary.twin.matched {
-                eprintln!(
-                    "crash-under-faults diverged from the uninterrupted run: {}",
-                    summary.twin.scenario
-                );
-            }
-            std::process::exit(1);
-        }
-    }
-    // The overload trajectory: written *before* the verdict is
-    // enforced, so a capacity regression (a false alert under honest
-    // overload, unshed overflow, a missed detection while shedding, a
-    // twin divergence, or a peak-state column more than doubling
-    // against the committed file) lands in the diff rather than
-    // vanishing in a panic — the non-zero exit still fails the run.
-    if let Some(summary) = e14_summary {
-        let path = load_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        // Peak-state regression gate: compare against the committed
-        // honest row when it was produced in the same mode.
-        let mut regressions = Vec::new();
-        if let Some((prev_quick, prev_peaks)) = previous
-            .as_deref()
-            .and_then(load_trajectory::parse_honest_peaks)
-        {
-            if prev_quick == quick {
-                for ((key, prev), fresh) in PEAK_COLUMNS
-                    .iter()
-                    .zip(prev_peaks)
-                    .zip(summary.honest.peaks)
-                {
-                    if prev > 0 && fresh > 2 * prev {
-                        regressions.push(format!("{key}: {prev} -> {fresh}"));
-                    }
-                }
-            }
-        }
-        let json = load_trajectory::render_json(quick, Some(&summary), previous.as_deref());
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote overload trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        if !regressions.is_empty() {
-            eprintln!("\npeak tracked state more than doubled vs the committed trajectory:");
-            for r in &regressions {
-                eprintln!("  {r}");
-            }
-            std::process::exit(1);
-        }
-        if !summary.clean() {
-            if summary.honest.alerts > 0 {
-                eprintln!(
-                    "false alerts under honest overload in {}: {}",
-                    summary.honest.scenario, summary.honest.alerts
-                );
-            }
-            if summary.honest.shed == 0 {
-                eprintln!("the flash crowd never overran the admission cap");
-            }
-            if summary.honest.completed != summary.honest.requests - summary.honest.shed {
-                eprintln!(
-                    "admitted requests went missing in {}: {} issued, {} shed, {} completed",
-                    summary.honest.scenario,
-                    summary.honest.requests,
-                    summary.honest.shed,
-                    summary.honest.completed
-                );
-            }
-            for d in &summary.detection {
-                if d.detected < d.attacks || d.false_positives > 0 || d.attacks == 0 {
-                    eprintln!(
-                        "detection under overload degraded for {}: {}/{} detected, {} fp",
-                        d.threat, d.detected, d.attacks, d.false_positives
-                    );
-                }
-            }
-            if !summary.twin.matched {
-                eprintln!(
-                    "crash-under-overload diverged from the uninterrupted run: {}",
-                    summary.twin.scenario
-                );
-            }
-            std::process::exit(1);
-        }
-    }
-    // The parallel-execution trajectory: written *before* the verdict
-    // is enforced, so a determinism break or a speedup regression lands
-    // in the diff rather than vanishing in a panic — the non-zero exit
-    // still fails the run.
-    if let Some(summary) = e15_summary {
-        let path = par_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = par_trajectory::render_json(quick, Some(&summary), previous.as_deref());
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote parallel trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        if !summary.determinism_ok {
-            eprintln!("\nparallel execution diverged across worker counts (see rows above)");
-            std::process::exit(1);
-        }
-        if !summary.speedup_ok {
-            eprintln!(
-                "\nparallel speedup gate failed on a {}-core host (see BENCH_PAR.json)",
-                summary.host_cores
-            );
-            std::process::exit(1);
-        }
-    }
-    // The real-transport trajectory: same write-then-enforce shape —
-    // a conformance break lands in BENCH_NET.json before the non-zero
-    // exit fails the run.
-    if let Some(summary) = e16_summary {
-        let path = net_trajectory::repo_path();
-        let previous = std::fs::read_to_string(&path).ok();
-        let json = net_trajectory::render_json(quick, Some(&summary), previous.as_deref());
-        match std::fs::write(&path, &json) {
-            Ok(()) => println!("wrote transport trajectory to {}", path.display()),
-            Err(e) => {
-                eprintln!("\nfailed to write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-        }
-        if !summary.conformance.matched {
-            eprintln!(
-                "\nDES-vs-TCP conformance diverged on scenario {}",
-                summary.conformance.scenario
-            );
             std::process::exit(1);
         }
     }
     println!("\ndone.");
+}
+
+/// Whether a crashed run is byte-identical to its uninterrupted twin:
+/// alerts, ground truth and counters.
+fn twin_matches(
+    (clean, clean_truth): (&MonitorReport, &GroundTruth),
+    (crashed, crashed_truth): (&MonitorReport, &GroundTruth),
+) -> bool {
+    let alerts = |r: &MonitorReport| -> Vec<Vec<u8>> {
+        r.alerts.iter().map(Encode::to_canonical_bytes).collect()
+    };
+    clean_truth == crashed_truth
+        && alerts(clean) == alerts(crashed)
+        && clean.requests_completed == crashed.requests_completed
+        && clean.entries_logged == crashed.entries_logged
+        && clean.groups_completed == crashed.groups_completed
+        && clean.txs_committed == crashed.txs_committed
+        && clean.finished_at == crashed.finished_at
 }
 
 fn header(id: &str, claim: &str) {
@@ -736,7 +473,7 @@ fn e4_detection_matrix() {
 /// E5 — paper §II: the Analyser re-evaluates decisions against the formal
 /// policy semantics; here we scale the policy base — tree-walking
 /// interpreter vs the compiled engine (and its decision cache).
-fn e5_policy_engine_scaling(quick: bool) -> Vec<PdpScalingRow> {
+fn e5_policy_engine_scaling(quick: bool) -> Object {
     header("E5", "PDP evaluation & formal analysis vs policy size");
     println!(
         "{:>10} {:>8} {:>12} {:>12} {:>10} {:>12} {:>16}",
@@ -795,13 +532,7 @@ fn e5_policy_engine_scaling(quick: bool) -> Vec<PdpScalingRow> {
             }));
         }
 
-        let row = PdpScalingRow {
-            policies,
-            rules,
-            interpreter_us,
-            compiled_us,
-            compiled_cached_us,
-        };
+        let speedup = ratio(interpreter_us, compiled_us);
         let analysis_ms = if policies <= 100 {
             let start = Instant::now();
             let _ = drams_analysis::completeness(&set).expect("analysable");
@@ -811,26 +542,28 @@ fn e5_policy_engine_scaling(quick: bool) -> Vec<PdpScalingRow> {
         };
         println!(
             "{:>10} {:>8} {:>12.2} {:>12.2} {:>9.1}x {:>12.2} {:>16}",
-            policies,
-            rules,
-            row.interpreter_us,
-            row.compiled_us,
-            row.speedup(),
-            row.compiled_cached_us,
-            analysis_ms
+            policies, rules, interpreter_us, compiled_us, speedup, compiled_cached_us, analysis_ms
         );
-        rows.push(row);
+        rows.push(
+            Object::new()
+                .with("policies", policies)
+                .with("rules", rules)
+                .with("interpreter_us_per_decision", interpreter_us)
+                .with("compiled_us_per_decision", compiled_us)
+                .with("compiled_cached_us_per_decision", compiled_cached_us)
+                .with("speedup_compiled_vs_interpreter", speedup),
+        );
     }
     println!("\nshape: interpreter latency grows linearly in the rule base; the");
     println!("compiled engine's target index touches only candidate policies, so");
     println!("its growth is governed by index fan-out; the decision cache");
     println!("flattens repeated requests to a digest lookup. Symbolic analysis");
     println!("is superlinear (SAT), run offline.");
-    rows
+    Object::new().with("rows", rows)
 }
 
 /// E6 — monitoring overhead: probes must sit off the decision path.
-fn e6_monitoring_overhead(quick: bool) -> MonitoringOverhead {
+fn e6_monitoring_overhead(quick: bool) -> Object {
     header("E6", "end-to-end request latency: monitoring off vs on");
     let base = MonitorConfig {
         total_requests: if quick { 200 } else { 1_000 },
@@ -852,53 +585,42 @@ fn e6_monitoring_overhead(quick: bool) -> MonitoringOverhead {
         "{:>12} {:>14} {:>14} {:>14} {:>12}",
         "monitoring", "mean ms", "p95 ms", "p99 ms", "chain txs"
     );
-    println!(
-        "{:>12} {:>14.3} {:>14.3} {:>14.3} {:>12}",
-        "off",
-        r_off.e2e_latency.mean() / 1_000.0,
-        r_off.e2e_latency.percentile(95.0) as f64 / 1_000.0,
-        r_off.e2e_latency.percentile(99.0) as f64 / 1_000.0,
-        r_off.txs_committed
-    );
-    println!(
-        "{:>12} {:>14.3} {:>14.3} {:>14.3} {:>12}",
-        "on",
-        r_on.e2e_latency.mean() / 1_000.0,
-        r_on.e2e_latency.percentile(95.0) as f64 / 1_000.0,
-        r_on.e2e_latency.percentile(99.0) as f64 / 1_000.0,
-        r_on.txs_committed
-    );
-    let summary = MonitoringOverhead {
-        requests: base.total_requests,
-        off: LatencySummary {
-            mean_ms: r_off.e2e_latency.mean() / 1_000.0,
-            p95_ms: r_off.e2e_latency.percentile(95.0) as f64 / 1_000.0,
-            p99_ms: r_off.e2e_latency.percentile(99.0) as f64 / 1_000.0,
-            chain_txs: r_off.txs_committed,
-        },
-        on: LatencySummary {
-            mean_ms: r_on.e2e_latency.mean() / 1_000.0,
-            p95_ms: r_on.e2e_latency.percentile(95.0) as f64 / 1_000.0,
-            p99_ms: r_on.e2e_latency.percentile(99.0) as f64 / 1_000.0,
-            chain_txs: r_on.txs_committed,
-        },
-        pipeline_mean_ms: r_on.log_commit_latency.mean() / 1_000.0,
-        off_wall_ms,
-        on_wall_ms,
+    for (label, r) in [("off", &r_off), ("on", &r_on)] {
+        println!(
+            "{:>12} {:>14.3} {:>14.3} {:>14.3} {:>12}",
+            label,
+            r.e2e_latency.mean() / 1_000.0,
+            r.e2e_latency.percentile(95.0) as f64 / 1_000.0,
+            r.e2e_latency.percentile(99.0) as f64 / 1_000.0,
+            r.txs_committed
+        );
+    }
+    let latency = |r: &MonitorReport| {
+        Object::new()
+            .with("mean_ms", r.e2e_latency.mean() / 1_000.0)
+            .with("p95_ms", r.e2e_latency.percentile(95.0) as f64 / 1_000.0)
+            .with("p99_ms", r.e2e_latency.percentile(99.0) as f64 / 1_000.0)
+            .with("chain_txs", r.txs_committed)
     };
+    let overhead_pct = if r_off.e2e_latency.mean() > 0.0 {
+        (r_on.e2e_latency.mean() / r_off.e2e_latency.mean() - 1.0) * 100.0
+    } else {
+        0.0
+    };
+    let pipeline_mean_ms = r_on.log_commit_latency.mean() / 1_000.0;
+    println!("\ncritical-path overhead: {overhead_pct:+.2}% (asynchronous probes);");
+    println!("monitoring pipeline latency (observation → commit): {pipeline_mean_ms:.1} ms mean");
     println!(
-        "\ncritical-path overhead: {:+.2}% (asynchronous probes);",
-        summary.overhead_pct()
+        "wall clock: {off_wall_ms:.0} ms off, {on_wall_ms:.0} ms on (crypto cost of the pipeline)"
     );
-    println!(
-        "monitoring pipeline latency (observation → commit): {:.1} ms mean",
-        summary.pipeline_mean_ms
-    );
-    println!(
-        "wall clock: {:.0} ms off, {:.0} ms on (crypto cost of the pipeline)",
-        summary.off_wall_ms, summary.on_wall_ms
-    );
-    summary
+    Object::new()
+        .with("requests", base.total_requests)
+        .with("off", latency(&r_off))
+        .with("on", latency(&r_on))
+        .with("critical_path_overhead_pct", overhead_pct)
+        .with("pipeline_mean_ms", pipeline_mean_ms)
+        .with("sim_wall_ms_off", off_wall_ms)
+        .with("sim_wall_ms_on", on_wall_ms)
 }
 
 /// E7 — federation scale: tenants × request rate.
@@ -937,7 +659,7 @@ fn e7_federation_scalability() {
 /// The monitoring pipeline's cost is bounded by log hashing/signing
 /// (paper §III); this table tracks the primitive layer the pipeline
 /// stands on. Emits `BENCH_CRYPTO.json`.
-fn e9_crypto_substrate(quick: bool) -> CryptoSummary {
+fn e9_crypto_substrate(quick: bool) -> Object {
     use drams_crypto::bignum::U256;
     use drams_crypto::montgomery;
     use drams_crypto::schnorr::{batch_verify, group_p};
@@ -968,36 +690,37 @@ fn e9_crypto_substrate(quick: bool) -> CryptoSummary {
     let base = U256::from_hex("1e2feb89414c343c1027c4d1c386bbc4cd613e30d8f16adf91b7584a2265b1f5");
     let exp = U256::from_hex("35bf992dc9e9c616612e7696a6cecc1b78e510617311d8a3c2ce6f447ed4d57b");
     let mont_p = drams_crypto::montgomery::MontCtx::new(p);
-    let mod_pow = OldNew {
-        reference_us: time_us(&mut || {
+    // (reference µs, fast µs) per operation.
+    let mod_pow = (
+        time_us(&mut || {
             std::hint::black_box(base.mod_pow(&exp, &p));
         }),
-        fast_us: time_us(&mut || {
+        time_us(&mut || {
             std::hint::black_box(mont_p.pow(&base, &exp));
         }),
-    };
+    );
     // Sanity: the two paths agree (also property-tested in drams-crypto).
     assert_eq!(montgomery::mod_pow(&base, &exp, &p), base.mod_pow(&exp, &p));
 
     let kp = Keypair::from_seed(b"e9-crypto");
     let msg = b"a log entry submission";
-    let sign = OldNew {
-        reference_us: time_us(&mut || {
+    let sign = (
+        time_us(&mut || {
             std::hint::black_box(kp.secret().sign_reference(msg));
         }),
-        fast_us: time_us(&mut || {
+        time_us(&mut || {
             std::hint::black_box(kp.sign(msg));
         }),
-    };
+    );
     let sig = kp.sign(msg);
-    let verify = OldNew {
-        reference_us: time_us(&mut || {
+    let verify = (
+        time_us(&mut || {
             kp.public().verify_reference(msg, &sig).expect("valid");
         }),
-        fast_us: time_us(&mut || {
+        time_us(&mut || {
             kp.public().verify(msg, &sig).expect("valid");
         }),
-    };
+    );
 
     // Batch verification over the shared fixture (the same workload
     // bench_crypto's batch targets measure).
@@ -1028,45 +751,53 @@ fn e9_crypto_substrate(quick: bool) -> CryptoSummary {
         batch_verify(&batch).expect("valid batch");
     });
 
-    let summary = CryptoSummary {
-        mod_pow,
-        sign,
-        verify,
-        batch_size,
-        individual_reference_us,
-        individual_fast_us,
-        batch_us,
-    };
     println!(
         "{:>16} {:>14} {:>14} {:>10}",
         "op", "reference µs", "fast µs", "speedup"
     );
-    for (name, row) in [
-        ("mod_pow", &summary.mod_pow),
-        ("schnorr sign", &summary.sign),
-        ("schnorr verify", &summary.verify),
+    for (name, (reference_us, fast_us)) in [
+        ("mod_pow", mod_pow),
+        ("schnorr sign", sign),
+        ("schnorr verify", verify),
     ] {
         println!(
             "{:>16} {:>14.1} {:>14.1} {:>9.1}x",
             name,
-            row.reference_us,
-            row.fast_us,
-            row.speedup()
+            reference_us,
+            fast_us,
+            ratio(reference_us, fast_us)
         );
     }
+    let speedup_vs_reference = ratio(individual_reference_us, batch_us);
+    let speedup_vs_fast = ratio(individual_fast_us, batch_us);
     println!(
-        "\nbatch_verify({batch_size}): {:.0} µs vs {:.0} µs individual-reference \
-         ({:.1}x) and {:.0} µs individual-fast ({:.2}x)",
-        summary.batch_us,
-        summary.individual_reference_us,
-        summary.batch_speedup_vs_reference(),
-        summary.individual_fast_us,
-        summary.batch_speedup_vs_fast()
+        "\nbatch_verify({batch_size}): {batch_us:.0} µs vs {individual_reference_us:.0} µs \
+         individual-reference ({speedup_vs_reference:.1}x) and {individual_fast_us:.0} µs \
+         individual-fast ({speedup_vs_fast:.2}x)"
     );
     println!("\nshape: REDC replaces a Knuth division per multiply; the fixed-base");
     println!("g-table removes all squarings from g-exponentiations; batches share");
     println!("per-key window tables across the block's signatures.");
-    summary
+    let old_new = |(reference_us, fast_us): (f64, f64)| {
+        Object::new()
+            .with("reference_us", reference_us)
+            .with("fast_us", fast_us)
+            .with("speedup", ratio(reference_us, fast_us))
+    };
+    Object::new()
+        .with("mod_pow", old_new(mod_pow))
+        .with("sign", old_new(sign))
+        .with("verify", old_new(verify))
+        .with(
+            "batch_verify",
+            Object::new()
+                .with("batch_size", batch_size)
+                .with("individual_reference_us", individual_reference_us)
+                .with("individual_fast_us", individual_fast_us)
+                .with("batch_us", batch_us)
+                .with("speedup_vs_individual_reference", speedup_vs_reference)
+                .with("speedup_vs_individual_fast", speedup_vs_fast),
+        )
 }
 
 /// E10 — the end-to-end scenario matrix on the event-driven runtime:
@@ -1074,7 +805,7 @@ fn e9_crypto_substrate(quick: bool) -> CryptoSummary {
 /// degraded Logging Interface, and a per-cloud PDP federation.
 ///
 /// Emits `BENCH_E2E.json` (unless `--scenario` filtered the matrix).
-fn e10_scenario_matrix(quick: bool, filter: Option<&str>) -> Vec<ScenarioRow> {
+fn e10_scenario_matrix(quick: bool, filter: Option<&str>) -> Object {
     use drams_core::scenario::run_scenario;
 
     header(
@@ -1113,43 +844,51 @@ fn e10_scenario_matrix(quick: bool, filter: Option<&str>) -> Vec<ScenarioRow> {
         let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
         assert_eq!(truth.total_attacks(), 0, "scenario faults are not attacks");
         let e2e = report.e2e_latency.report();
-        let row = ScenarioRow {
-            name: spec.name.clone(),
-            requests: report.requests_issued,
-            completed: report.requests_completed,
-            dropped: report.requests_dropped,
-            groups_completed: report.groups_completed,
-            entries_logged: report.entries_logged,
-            alerts: report.alerts.len() as u64,
-            policy_activations: report.policy_activations,
-            retries: e2e.retries,
-            attempts: e2e.attempts.to_vec(),
-            e2e_mean_ms: report.e2e_latency.mean() / 1_000.0,
-            commit_p95_ms: report.log_commit_latency.percentile(95.0) as f64 / 1_000.0,
-            wall_ms,
-            requests_per_sec: report.requests_issued as f64 / (wall_ms / 1_000.0).max(1e-9),
-            sim_speedup: (report.finished_at as f64 / 1_000.0) / wall_ms.max(1e-9),
-        };
+        let e2e_mean_ms = report.e2e_latency.mean() / 1_000.0;
+        let commit_p95_ms = report.log_commit_latency.percentile(95.0) as f64 / 1_000.0;
         println!(
             "{:<16} {:>8} {:>9} {:>8} {:>8} {:>8} {:>7} {:>12.3} {:>12.1} {:>9.0}",
-            row.name,
-            row.requests,
-            row.completed,
-            row.dropped,
-            row.groups_completed,
-            row.entries_logged,
-            row.alerts,
-            row.e2e_mean_ms,
-            row.commit_p95_ms,
-            row.wall_ms
+            spec.name,
+            report.requests_issued,
+            report.requests_completed,
+            report.requests_dropped,
+            report.groups_completed,
+            report.entries_logged,
+            report.alerts.len(),
+            e2e_mean_ms,
+            commit_p95_ms,
+            wall_ms
         );
-        rows.push(row);
+        rows.push(
+            Object::new()
+                .with("scenario", spec.name.as_str())
+                .with("requests", report.requests_issued)
+                .with("completed", report.requests_completed)
+                .with("dropped", report.requests_dropped)
+                .with("groups_completed", report.groups_completed)
+                .with("entries_logged", report.entries_logged)
+                .with("alerts", report.alerts.len())
+                .with("policy_activations", report.policy_activations)
+                .with("retries", e2e.retries)
+                .with("delivery_attempts", e2e.attempts.to_vec())
+                .with("e2e_mean_ms", e2e_mean_ms)
+                .with("commit_p95_ms", commit_p95_ms)
+                .with("wall_ms", wall_ms)
+                .with(
+                    "requests_per_sec",
+                    report.requests_issued as f64 / (wall_ms / 1_000.0).max(1e-9),
+                )
+                .with(
+                    "sim_speedup",
+                    (report.finished_at as f64 / 1_000.0) / wall_ms.max(1e-9),
+                ),
+        );
     }
     println!("\nshape: clean scenarios (steady, churn, policy-flip, per-cloud)");
     println!("complete every group with zero alerts — legitimate churn is not");
     println!("an attack; the degraded-LI fault surfaces as missing-observation");
     println!("alerts; per-cloud PDPs cut the decision hop to the local link.");
-    rows
+    Object::new().with("rows", rows)
 }
 
 /// E11 — the durable storage engine and the crash-restart scenarios.
@@ -1159,7 +898,7 @@ fn e10_scenario_matrix(quick: bool, filter: Option<&str>) -> Vec<ScenarioRow> {
 /// monitoring-plane service is killed mid-run, restarted from its
 /// durable store, and the run's alerts + ground truth are required to be
 /// byte-identical to the uninterrupted twin. Emits `BENCH_STORE.json`.
-fn e11_storage_and_recovery(quick: bool) -> (Vec<EngineRow>, Vec<RecoveryRow>) {
+fn e11_storage_and_recovery(quick: bool) -> (Object, Object) {
     use drams_core::scenario::run_scenario;
     use drams_store::{Durability, FsBackend, MemBackend, Wal, WalConfig};
 
@@ -1222,14 +961,15 @@ fn e11_storage_and_recovery(quick: bool) -> (Vec<EngineRow>, Vec<RecoveryRow>) {
             replay_us,
             snapshot_us
         );
-        engine_rows.push(EngineRow {
-            backend: name.to_string(),
-            records,
-            payload_bytes: payload.len(),
-            append_us,
-            replay_us,
-            snapshot_us,
-        });
+        engine_rows.push(
+            Object::new()
+                .with("backend", name)
+                .with("records", records)
+                .with("payload_bytes", payload.len())
+                .with("append_us_per_record", append_us)
+                .with("replay_us_per_record", replay_us)
+                .with("snapshot_prune_us", snapshot_us),
+        );
     }
     let _ = std::fs::remove_dir_all(&tmp_root);
 
@@ -1245,49 +985,36 @@ fn e11_storage_and_recovery(quick: bool) -> (Vec<EngineRow>, Vec<RecoveryRow>) {
         let wall = Instant::now();
         let (crashed, crashed_truth) = run_scenario(&spec, &mut NoAdversary);
         let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
-        let clean_alerts: Vec<Vec<u8>> = clean
-            .alerts
-            .iter()
-            .map(Encode::to_canonical_bytes)
-            .collect();
-        let crashed_alerts: Vec<Vec<u8>> = crashed
-            .alerts
-            .iter()
-            .map(Encode::to_canonical_bytes)
-            .collect();
-        let matched = clean_truth == crashed_truth
-            && clean_alerts == crashed_alerts
-            && clean.requests_completed == crashed.requests_completed
-            && clean.entries_logged == crashed.entries_logged
-            && clean.groups_completed == crashed.groups_completed
-            && clean.txs_committed == crashed.txs_committed
-            && clean.finished_at == crashed.finished_at;
-        let row = RecoveryRow {
-            scenario: spec.name.clone(),
-            completed: crashed.requests_completed,
-            groups_completed: crashed.groups_completed,
-            alerts: crashed.alerts.len() as u64,
-            crash_restarts: crashed.crash_restarts,
-            matched,
-            wall_ms,
-        };
+        let matched = twin_matches((&clean, &clean_truth), (&crashed, &crashed_truth));
         println!(
             "{:<16} {:>9} {:>8} {:>7} {:>8} {:>9} {:>9.0}",
-            row.scenario,
-            row.completed,
-            row.groups_completed,
-            row.alerts,
-            row.crash_restarts,
-            row.matched,
-            row.wall_ms
+            spec.name,
+            crashed.requests_completed,
+            crashed.groups_completed,
+            crashed.alerts.len(),
+            crashed.crash_restarts,
+            matched,
+            wall_ms
         );
-        recovery_rows.push(row);
+        recovery_rows.push(
+            Object::new()
+                .with("scenario", spec.name.as_str())
+                .with("completed", crashed.requests_completed)
+                .with("groups_completed", crashed.groups_completed)
+                .with("alerts", crashed.alerts.len())
+                .with("crash_restarts", crashed.crash_restarts)
+                .with("matched", matched)
+                .with("wall_ms", wall_ms),
+        );
     }
     println!("\nshape: appends are µs-scale on every backend (fsync dominates the");
     println!("fs-flushed row); replay is sequential-scan fast; every crashed");
     println!("service restarts from disk and the run is byte-identical to the");
     println!("uninterrupted twin — recovery loses nothing and repeats nothing.");
-    (engine_rows, recovery_rows)
+    (
+        Object::new().with("rows", engine_rows),
+        Object::new().with("rows", recovery_rows),
+    )
 }
 
 /// E8 — ablations of DRAMS design choices.
@@ -1352,7 +1079,7 @@ fn e8_ablations() {
 /// crashed runs byte-identical to their uninterrupted twin). Oracle
 /// violations are shrunk to a minimal scenario and printed as
 /// compilable Rust. Emits `BENCH_FUZZ.json`.
-fn e12_adversarial_fuzz(quick: bool) -> FuzzSummary {
+fn e12_adversarial_fuzz(quick: bool) -> Object {
     use drams_fuzz::{generate, render_rust, run_case, shrink, COVERAGE_PRELUDE};
     use std::collections::BTreeMap;
 
@@ -1371,7 +1098,14 @@ fn e12_adversarial_fuzz(quick: bool) -> FuzzSummary {
         "seed", "scenario", "events", "injectd", "detectd", "fp", "twin", "ok"
     );
 
-    let mut summary = FuzzSummary::default();
+    let mut scenarios = 0u64;
+    let mut events = 0u64;
+    let mut attacks_injected = 0u64;
+    let mut attacks_detected = 0u64;
+    let mut false_positives = 0u64;
+    let mut crash_twins_checked = 0u64;
+    let mut violations = 0u64;
+    let mut shrunk_failures = 0u64;
     let mut families: BTreeMap<&'static str, u64> = BTreeMap::new();
     for seed in 0..budget {
         let case = generate(seed);
@@ -1379,12 +1113,12 @@ fn e12_adversarial_fuzz(quick: bool) -> FuzzSummary {
             *families.entry(family).or_insert(0) += 1;
         }
         let outcome = run_case(&case);
-        summary.scenarios += 1;
-        summary.events += outcome.events;
-        summary.attacks_injected += outcome.attacks_injected as u64;
-        summary.attacks_detected += outcome.attacks_detected as u64;
-        summary.false_positives += outcome.false_positives as u64;
-        summary.crash_twins_checked += u64::from(outcome.crash_twin_checked);
+        scenarios += 1;
+        events += outcome.events;
+        attacks_injected += outcome.attacks_injected as u64;
+        attacks_detected += outcome.attacks_detected as u64;
+        false_positives += outcome.false_positives as u64;
+        crash_twins_checked += u64::from(outcome.crash_twin_checked);
         let ok = outcome.violations.is_empty();
         println!(
             "{:>5} {:<34} {:>7} {:>8} {:>8} {:>4} {:>5} {:>4}",
@@ -1402,37 +1136,41 @@ fn e12_adversarial_fuzz(quick: bool) -> FuzzSummary {
             if ok { "ok" } else { "FAIL" }
         );
         if !ok {
-            summary.violations += outcome.violations.len() as u64;
+            violations += outcome.violations.len() as u64;
             for violation in &outcome.violations {
                 eprintln!("  violation: {violation}");
             }
             let minimal = shrink(&case, |c| !run_case(c).violations.is_empty());
-            summary.shrunk_failures += 1;
+            shrunk_failures += 1;
             println!("\n--- minimal reproduction of seed {seed} ---");
             println!("{}", render_rust(&minimal));
         }
     }
 
-    summary.families = families
-        .into_iter()
-        .map(|(name, count)| (name.to_string(), count))
-        .collect();
     println!("\n-- attack-family coverage (scenarios per family) --");
-    for (family, count) in &summary.families {
+    for (family, count) in &families {
         println!("{family:>20}: {count}");
     }
     println!(
-        "\n{} scenarios, {} events, {}/{} attacks detected, {} false positives, \
-         {} crash twins checked, {} violations",
-        summary.scenarios,
-        summary.events,
-        summary.attacks_detected,
-        summary.attacks_injected,
-        summary.false_positives,
-        summary.crash_twins_checked,
-        summary.violations
+        "\n{scenarios} scenarios, {events} events, {attacks_detected}/{attacks_injected} attacks \
+         detected, {false_positives} false positives, {crash_twins_checked} crash twins checked, \
+         {violations} violations"
     );
-    summary
+    let families = families
+        .into_iter()
+        .fold(Object::new(), |obj, (family, count)| {
+            obj.with(family, count)
+        });
+    Object::new()
+        .with("scenarios", scenarios)
+        .with("events", events)
+        .with("attacks_injected", attacks_injected)
+        .with("attacks_detected", attacks_detected)
+        .with("false_positives", false_positives)
+        .with("crash_twins_checked", crash_twins_checked)
+        .with("violations", violations)
+        .with("shrunk_failures", shrunk_failures)
+        .with("families", families)
 }
 
 /// E13 — the deterministic network fault plane and graceful degradation.
@@ -1446,7 +1184,7 @@ fn e12_adversarial_fuzz(quick: bool) -> FuzzSummary {
 /// still be detected, with zero false positives. Part 3 crashes a PDP
 /// under duplicating faults and requires byte-identity with the
 /// uninterrupted twin. Emits `BENCH_FAULT.json`.
-fn e13_fault_plane(quick: bool) -> FaultSummary {
+fn e13_fault_plane(quick: bool) -> Object {
     use drams_core::scenario::run_scenario;
     use drams_faas::fault::LinkFault;
 
@@ -1481,60 +1219,63 @@ fn e13_fault_plane(quick: bool) -> FaultSummary {
         let e2e = report.e2e_latency.report();
         let failover = report.failover_e2e.report();
         let recovery = report.spill_recovery.report();
-        let row = FaultRow {
-            scenario: spec.name.clone(),
-            requests: report.requests_issued,
-            completed: report.requests_completed,
-            dropped: report.requests_dropped,
-            availability_pct: 100.0 * report.requests_completed as f64
-                / report.requests_issued.max(1) as f64,
-            retries: report.retries_total,
-            msgs_dropped: report.faults.dropped,
-            msgs_duplicated: report.faults.duplicated,
-            msgs_reordered: report.faults.reordered,
-            partition_blocked: report.faults.partition_blocked,
-            breaker_trips: report.breaker_trips,
-            failovers: report.failovers,
-            failover_p95_ms: if failover.count > 0 {
-                failover.p95 as f64 / 1_000.0
-            } else {
-                f64::NAN
-            },
-            li_spilled: report.li_spilled,
-            li_replayed: report.li_replayed,
-            recovery_mean_ms: if recovery.count > 0 {
-                recovery.mean / 1_000.0
-            } else {
-                f64::NAN
-            },
-            timeout_retunes: report.timeout_retunes,
-            alerts: report.alerts.len() as u64,
-            wall_ms,
+        let availability_pct =
+            100.0 * report.requests_completed as f64 / report.requests_issued.max(1) as f64;
+        let failover_p95_ms = if failover.count > 0 {
+            failover.p95 as f64 / 1_000.0
+        } else {
+            f64::NAN
+        };
+        let recovery_mean_ms = if recovery.count > 0 {
+            recovery.mean / 1_000.0
+        } else {
+            f64::NAN
         };
         // The honest scenarios complete every request exactly once, so
         // the delivery-attempt histogram sums back to the completions.
         assert_eq!(e2e.attempts.iter().sum::<u64>(), report.requests_completed);
         println!(
             "{:<20} {:>6} {:>7.1} {:>8} {:>7} {:>6} {:>6} {:>8} {:>7} {:>7} {:>9} {:>7} {:>8.0}",
-            row.scenario,
-            row.completed,
-            row.availability_pct,
-            row.retries,
-            row.msgs_dropped,
-            row.msgs_duplicated,
-            row.partition_blocked,
-            row.breaker_trips,
-            row.failovers,
-            row.li_spilled,
+            spec.name,
+            report.requests_completed,
+            availability_pct,
+            report.retries_total,
+            report.faults.dropped,
+            report.faults.duplicated,
+            report.faults.partition_blocked,
+            report.breaker_trips,
+            report.failovers,
+            report.li_spilled,
             if recovery.count > 0 {
-                format!("{:.0}", row.recovery_mean_ms)
+                format!("{recovery_mean_ms:.0}")
             } else {
                 "-".to_string()
             },
-            row.alerts,
-            row.wall_ms
+            report.alerts.len(),
+            wall_ms
         );
-        rows.push(row);
+        rows.push(
+            Object::new()
+                .with("scenario", spec.name.as_str())
+                .with("requests", report.requests_issued)
+                .with("completed", report.requests_completed)
+                .with("dropped", report.requests_dropped)
+                .with("availability_pct", availability_pct)
+                .with("retries", report.retries_total)
+                .with("msgs_dropped", report.faults.dropped)
+                .with("msgs_duplicated", report.faults.duplicated)
+                .with("msgs_reordered", report.faults.reordered)
+                .with("partition_blocked", report.faults.partition_blocked)
+                .with("breaker_trips", report.breaker_trips)
+                .with("failovers", report.failovers)
+                .with("failover_p95_ms", failover_p95_ms)
+                .with("li_spilled", report.li_spilled)
+                .with("li_replayed", report.li_replayed)
+                .with("recovery_mean_ms", recovery_mean_ms)
+                .with("timeout_retunes", report.timeout_retunes)
+                .with("alerts", report.alerts.len())
+                .with("wall_ms", wall_ms),
+        );
     }
 
     // -- part 2: attack campaigns under the lossy plan ---------------------
@@ -1555,18 +1296,19 @@ fn e13_fault_plane(quick: bool) -> FaultSummary {
         let mut adversary = WindowedAdversary::new(inner, vec![FaultWindow::new(0, 1500 * MILLIS)]);
         let (report, truth) = run_scenario(&spec, &mut adversary);
         let s = score(threat, &report, &truth);
-        let row = DetectionRow {
-            threat: threat.to_string(),
-            attacks: s.attacks as u64,
-            detected: s.detected as u64,
-            false_positives: s.false_positives as u64,
-            mean_detection_ms: s.mean_detection_latency_us / 1_000.0,
-        };
+        let mean_detection_ms = s.mean_detection_latency_us / 1_000.0;
         println!(
             "{:<18} {:>8} {:>9} {:>5} {:>14.1}",
-            row.threat, row.attacks, row.detected, row.false_positives, row.mean_detection_ms
+            threat, s.attacks, s.detected, s.false_positives, mean_detection_ms
         );
-        detection.push(row);
+        detection.push(
+            Object::new()
+                .with("threat", threat.to_string())
+                .with("attacks", s.attacks)
+                .with("detected", s.detected)
+                .with("false_positives", s.false_positives)
+                .with("mean_detection_ms", mean_detection_ms),
+        );
     }
 
     // -- part 3: a PDP crash under duplicating faults vs its twin ----------
@@ -1583,30 +1325,10 @@ fn e13_fault_plane(quick: bool) -> FaultSummary {
     let twin_spec = scenarios::strip_crashes(&spec);
     let (clean, clean_truth) = run_scenario(&twin_spec, &mut NoAdversary);
     let (crashed, crashed_truth) = run_scenario(&spec, &mut NoAdversary);
-    let clean_alerts: Vec<Vec<u8>> = clean
-        .alerts
-        .iter()
-        .map(Encode::to_canonical_bytes)
-        .collect();
-    let crashed_alerts: Vec<Vec<u8>> = crashed
-        .alerts
-        .iter()
-        .map(Encode::to_canonical_bytes)
-        .collect();
-    let twin = TwinCheck {
-        scenario: spec.name.clone(),
-        crash_restarts: crashed.crash_restarts,
-        matched: clean_truth == crashed_truth
-            && clean_alerts == crashed_alerts
-            && clean.requests_completed == crashed.requests_completed
-            && clean.entries_logged == crashed.entries_logged
-            && clean.groups_completed == crashed.groups_completed
-            && clean.txs_committed == crashed.txs_committed
-            && clean.finished_at == crashed.finished_at,
-    };
+    let matched = twin_matches((&clean, &clean_truth), (&crashed, &crashed_truth));
     println!(
-        "\ncrash_pdp under duplicating faults: {} crash-restart(s), twin matched: {}",
-        twin.crash_restarts, twin.matched
+        "\ncrash_pdp under duplicating faults: {} crash-restart(s), twin matched: {matched}",
+        crashed.crash_restarts
     );
 
     println!("\nshape: capped-backoff retries mask loss, the journaled decision");
@@ -1614,11 +1336,16 @@ fn e13_fault_plane(quick: bool) -> FaultSummary {
     println!("over to healthy PDPs, partitions spill to the LI WAL and replay on");
     println!("heal, and degraded mode widens epoch timeouts over declared fault");
     println!("windows — transient faults never alert, real attacks always do.");
-    FaultSummary {
-        rows,
-        detection,
-        twin,
-    }
+    Object::new()
+        .with("rows", rows)
+        .with("detection_under_faults", detection)
+        .with(
+            "crash_fault_twin",
+            Object::new()
+                .with("scenario", spec.name.as_str())
+                .with("crash_restarts", crashed.crash_restarts)
+                .with("matched", matched),
+        )
 }
 
 /// E14 — overload robustness: a Zipf-skewed flash crowd over a
@@ -1633,7 +1360,7 @@ fn e13_fault_plane(quick: bool) -> FaultSummary {
 /// requests carry no evidence, so overflow can never masquerade as an
 /// attack or hide one). Part 3 crashes a PDP mid-spike and requires
 /// byte-identity with the uninterrupted twin. Emits `BENCH_LOAD.json`.
-fn e14_overload(quick: bool) -> LoadSummary {
+fn e14_overload(quick: bool) -> Object {
     use drams_core::scenario::run_scenario;
 
     header(
@@ -1648,57 +1375,67 @@ fn e14_overload(quick: bool) -> LoadSummary {
     let wall_ms = wall.elapsed().as_secs_f64() * 1_000.0;
     assert_eq!(truth.total_attacks(), 0, "overload is not an attack");
     let peaks = [
-        report.peak.pep_inflight,
-        report.peak.pdp_idempotency,
-        report.peak.pdp_decision_cache,
-        report.peak.li_resident,
-        report.peak.analyser_pending_retire,
-        report.peak.contract_storage,
-        report.peak.chain_journal_records,
-        report.peak.policy_history,
+        ("peak_pep_inflight", report.peak.pep_inflight),
+        ("peak_pdp_idempotency", report.peak.pdp_idempotency),
+        ("peak_pdp_decision_cache", report.peak.pdp_decision_cache),
+        ("peak_li_resident", report.peak.li_resident),
+        (
+            "peak_analyser_pending_retire",
+            report.peak.analyser_pending_retire,
+        ),
+        ("peak_contract_storage", report.peak.contract_storage),
+        (
+            "peak_chain_journal_records",
+            report.peak.chain_journal_records,
+        ),
+        ("peak_policy_history", report.peak.policy_history),
     ];
-    let honest = LoadRow {
-        scenario: spec.name.clone(),
-        requests: report.requests_issued,
-        completed: report.requests_completed,
-        shed: report.requests_shed,
-        degraded: report.degraded_admissions,
-        admitted_completion_pct: 100.0 * report.requests_completed as f64
-            / (report.requests_issued - report.requests_shed).max(1) as f64,
-        alerts: report.alerts.len() as u64,
-        idempotency_evictions: report.idempotency_evictions,
-        decision_cache_evictions: report.decision_cache_evictions,
-        groups_retired: report.groups_retired,
-        journal_compactions: report.journal_compactions,
-        peaks,
-        wall_ms,
-    };
     println!(
         "{:<18} {:>9} {:>9} {:>8} {:>9} {:>7} {:>9}",
         "scenario", "requests", "complete", "shed", "degraded", "alerts", "wall ms"
     );
     println!(
         "{:<18} {:>9} {:>9} {:>8} {:>9} {:>7} {:>9.0}",
-        honest.scenario,
-        honest.requests,
-        honest.completed,
-        honest.shed,
-        honest.degraded,
-        honest.alerts,
-        honest.wall_ms
+        spec.name,
+        report.requests_issued,
+        report.requests_completed,
+        report.requests_shed,
+        report.degraded_admissions,
+        report.alerts.len(),
+        wall_ms
     );
     println!("\n-- peak tracked state (honest flash crowd) --");
-    for (key, value) in PEAK_COLUMNS.iter().zip(peaks) {
+    for (key, value) in peaks {
         println!("{key:<28} {value:>10}");
     }
     println!(
         "{:<28} {:>10}   (evictions: idempotency {}, decision-cache {};",
-        "bounded-state counters", "", honest.idempotency_evictions, honest.decision_cache_evictions
+        "bounded-state counters", "", report.idempotency_evictions, report.decision_cache_evictions
     );
     println!(
         "{:<28} {:>10}    groups retired {}, journal compactions {})",
-        "", "", honest.groups_retired, honest.journal_compactions
+        "", "", report.groups_retired, report.journal_compactions
     );
+    let honest = Object::new()
+        .with("scenario", spec.name.as_str())
+        .with("requests", report.requests_issued)
+        .with("completed", report.requests_completed)
+        .with("shed", report.requests_shed)
+        .with("degraded", report.degraded_admissions)
+        .with(
+            "admitted_completion_pct",
+            100.0 * report.requests_completed as f64
+                / (report.requests_issued - report.requests_shed).max(1) as f64,
+        )
+        .with("alerts", report.alerts.len())
+        .with("idempotency_evictions", report.idempotency_evictions)
+        .with("decision_cache_evictions", report.decision_cache_evictions)
+        .with("groups_retired", report.groups_retired)
+        .with("journal_compactions", report.journal_compactions);
+    let honest = peaks
+        .into_iter()
+        .fold(honest, |row, (key, value)| row.with(key, value))
+        .with("wall_ms", wall_ms);
 
     // -- part 2: attack campaigns inside the flash crowd -------------------
     println!("\n-- detection under overload (campaigns inside the spike window) --");
@@ -1721,18 +1458,18 @@ fn e14_overload(quick: bool) -> LoadSummary {
         );
         let (report, truth) = run_scenario(&spec, &mut adversary);
         let s = score(threat, &report, &truth);
-        let row = load_trajectory::DetectionRow {
-            threat: threat.to_string(),
-            attacks: s.attacks as u64,
-            detected: s.detected as u64,
-            false_positives: s.false_positives as u64,
-            shed: report.requests_shed,
-        };
         println!(
             "{:<18} {:>8} {:>9} {:>5} {:>8}",
-            row.threat, row.attacks, row.detected, row.false_positives, row.shed
+            threat, s.attacks, s.detected, s.false_positives, report.requests_shed
         );
-        detection.push(row);
+        detection.push(
+            Object::new()
+                .with("threat", threat.to_string())
+                .with("attacks", s.attacks)
+                .with("detected", s.detected)
+                .with("false_positives", s.false_positives)
+                .with("shed", report.requests_shed),
+        );
     }
 
     // -- part 3: a PDP crash mid-spike vs its twin -------------------------
@@ -1740,31 +1477,10 @@ fn e14_overload(quick: bool) -> LoadSummary {
     let twin_spec = scenarios::strip_crashes(&crash_spec);
     let (clean, clean_truth) = run_scenario(&twin_spec, &mut NoAdversary);
     let (crashed, crashed_truth) = run_scenario(&crash_spec, &mut NoAdversary);
-    let clean_alerts: Vec<Vec<u8>> = clean
-        .alerts
-        .iter()
-        .map(Encode::to_canonical_bytes)
-        .collect();
-    let crashed_alerts: Vec<Vec<u8>> = crashed
-        .alerts
-        .iter()
-        .map(Encode::to_canonical_bytes)
-        .collect();
-    let twin = load_trajectory::TwinCheck {
-        scenario: crash_spec.name.clone(),
-        crash_restarts: crashed.crash_restarts,
-        shed: crashed.requests_shed,
-        matched: clean_truth == crashed_truth
-            && clean_alerts == crashed_alerts
-            && clean.requests_completed == crashed.requests_completed
-            && clean.entries_logged == crashed.entries_logged
-            && clean.groups_completed == crashed.groups_completed
-            && clean.txs_committed == crashed.txs_committed
-            && clean.finished_at == crashed.finished_at,
-    };
+    let matched = twin_matches((&clean, &clean_truth), (&crashed, &crashed_truth));
     println!(
-        "\ncrash mid-spike: {} crash-restart(s), {} shed, twin matched: {}",
-        twin.crash_restarts, twin.shed, twin.matched
+        "\ncrash mid-spike: {} crash-restart(s), {} shed, twin matched: {matched}",
+        crashed.crash_restarts, crashed.requests_shed
     );
 
     println!("\nshape: admission control sheds overflow before interception (no");
@@ -1772,11 +1488,17 @@ fn e14_overload(quick: bool) -> LoadSummary {
     println!("caps bound every cache, closed groups retire from contract storage,");
     println!("and the chain journal compacts — peak state stays flat while the");
     println!("flash crowd runs, honest overload never alerts, attacks always do.");
-    LoadSummary {
-        honest,
-        detection,
-        twin,
-    }
+    Object::new()
+        .with("honest", honest)
+        .with("detection_under_overload", detection)
+        .with(
+            "crash_overload_twin",
+            Object::new()
+                .with("scenario", crash_spec.name.as_str())
+                .with("crash_restarts", crashed.crash_restarts)
+                .with("shed", crashed.requests_shed)
+                .with("matched", matched),
+        )
 }
 
 /// E15 — deterministic parallel execution: worker-pool scaling.
@@ -1795,11 +1517,10 @@ fn e14_overload(quick: bool) -> LoadSummary {
 /// the same row must instead stay above a 0.75x overhead floor (the
 /// pool's thread spawns may not eat more than a quarter of throughput).
 /// Emits `BENCH_PAR.json`.
-fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
+fn e15_parallel(quick: bool) -> Object {
     use drams_chain::tx::Transaction;
     use drams_core::scenario::run_scenario;
     use drams_faas::par;
-    use par_trajectory::ParRow;
 
     header(
         "E15",
@@ -1809,29 +1530,31 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
     println!("host cores: {host_cores}  (speedup gate adapts to single-core hosts)\n");
     let saved_workers = par::workers();
     let counts: [usize; 4] = [1, 2, 4, 8];
-    let mut rows: Vec<ParRow> = Vec::new();
+    let mut rows: Vec<Object> = Vec::new();
     let mut determinism_ok = true;
-    let push_row =
-        |rows: &mut Vec<ParRow>, workload: &str, workers: usize, items: u64, wall_ms: f64| {
-            let per_sec = items as f64 / (wall_ms / 1_000.0).max(1e-9);
-            let base = rows
-                .iter()
-                .find(|r| r.workload == workload && r.workers == 1)
-                .map_or(per_sec, |r| r.per_sec);
-            let row = ParRow {
-                workload: workload.to_string(),
-                workers,
-                items,
-                wall_ms,
-                per_sec,
-                speedup: per_sec / base.max(1e-9),
-            };
-            println!(
-                "{:<16} workers {:>2}  items {:>9}  wall {:>9.1} ms  {:>12.0}/s  {:>6.2}x",
-                row.workload, row.workers, row.items, row.wall_ms, row.per_sec, row.speedup
-            );
-            rows.push(row);
-        };
+    // Records one row and returns its speedup over `base`, the
+    // workload's workers=1 throughput (every sweep starts at 1).
+    let mut push_row = |base: &mut Option<f64>,
+                        workload: &str,
+                        workers: usize,
+                        items: u64,
+                        wall_ms: f64| {
+        let per_sec = items as f64 / (wall_ms / 1_000.0).max(1e-9);
+        let speedup = per_sec / base.get_or_insert(per_sec).max(1e-9);
+        println!(
+            "{workload:<16} workers {workers:>2}  items {items:>9}  wall {wall_ms:>9.1} ms  {per_sec:>12.0}/s  {speedup:>6.2}x"
+        );
+        rows.push(
+            Object::new()
+                .with("workload", workload)
+                .with("workers", workers)
+                .with("items", items)
+                .with("wall_ms", wall_ms)
+                .with("per_sec", per_sec)
+                .with("speedup", speedup),
+        );
+        speedup
+    };
 
     // -- workload 1: the signature-audit path (verify-heavy) ---------------
     let tx_count: usize = if quick { 1_024 } else { 4_096 };
@@ -1843,6 +1566,8 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
         .collect();
     let block = Block::mine(drams_crypto::sha256::Digest::ZERO, 0, txs, 0, 0);
     let mut reference_root = None;
+    let mut base = None;
+    let mut audit_speedup_at_4 = 0.0;
     for w in counts {
         par::set_workers(w);
         let wall = Instant::now();
@@ -1861,7 +1586,10 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
                 }
             }
         }
-        push_row(&mut rows, "sig_audit", w, tx_count as u64, wall_ms);
+        let speedup = push_row(&mut base, "sig_audit", w, tx_count as u64, wall_ms);
+        if w == 4 {
+            audit_speedup_at_4 = speedup;
+        }
     }
 
     // -- workload 2: compiled-PDP evaluation --------------------------------
@@ -1879,6 +1607,7 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
     let mut rgen = RequestGenerator::new(Vocabulary::default(), 1.0, 16);
     let requests: Vec<_> = (0..request_count).map(|_| rgen.next_request()).collect();
     let mut reference_decisions: Option<Vec<drams_policy::decision::Response>> = None;
+    let mut base = None;
     for w in counts {
         par::set_workers(w);
         let wall = Instant::now();
@@ -1893,7 +1622,7 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
                 }
             }
         }
-        push_row(&mut rows, "pdp_eval", w, request_count as u64, wall_ms);
+        push_row(&mut base, "pdp_eval", w, request_count as u64, wall_ms);
     }
 
     // -- workload 3: the million-request flash crowd ------------------------
@@ -1905,6 +1634,7 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
     let crowd_counts: &[usize] = if quick { &[1, 4] } else { &[1, 2, 4, 8] };
     let spec = scenarios::mega_crowd(quick);
     let mut reference_crowd = None;
+    let mut base = None;
     for &w in crowd_counts {
         par::set_workers(w);
         let wall = Instant::now();
@@ -1941,14 +1671,10 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
                 }
             }
         }
-        push_row(&mut rows, &spec.name, w, report.requests_issued, wall_ms);
+        push_row(&mut base, &spec.name, w, report.requests_issued, wall_ms);
     }
     par::set_workers(saved_workers);
 
-    let audit_speedup_at_4 = rows
-        .iter()
-        .find(|r| r.workload == "sig_audit" && r.workers == 4)
-        .map_or(0.0, |r| r.speedup);
     let speedup_ok = if host_cores >= 2 {
         audit_speedup_at_4 > 1.0
     } else {
@@ -1971,25 +1697,23 @@ fn e15_parallel(quick: bool) -> par_trajectory::ParSummary {
     println!("batch encoding) scale with workers while the DES event loop stays");
     println!("single-threaded; submission-order merging makes the worker count");
     println!("observationally invisible, so the same bytes come out at any size.");
-    par_trajectory::ParSummary {
-        host_cores,
-        rows,
-        determinism_ok,
-        speedup_ok,
-    }
+    Object::new()
+        .with("host_cores", host_cores)
+        .with("determinism_ok", determinism_ok)
+        .with("speedup_ok", speedup_ok)
+        .with("rows", rows)
 }
 
 /// E16 — the real transport (DESIGN.md invariant 9): loopback TCP
 /// round-trip latency and frame throughput per payload size, the cost
 /// of killing and lazily re-provisioning a service endpoint, and a
 /// DES-vs-TCP conformance replay of the steady-state scenario.
-fn e16_net(quick: bool) -> net_trajectory::NetSummary {
+fn e16_net(quick: bool) -> Object {
     use drams_core::adversary::NoAdversary;
     use drams_core::scenario::{run_scenario, run_scenario_with_transport};
     use drams_crypto::codec::Encode;
     use drams_faas::transport::{Transport, WireFrame, WireRole};
     use drams_net::TcpTransport;
-    use net_trajectory::{Conformance, NetRow, NetSummary, ReconnectCost};
 
     header(
         "E16",
@@ -2032,14 +1756,15 @@ fn e16_net(quick: bool) -> net_trajectory::NetSummary {
             "payload {payload_bytes:>5} B  frames {frames_per_size:>6}  wall {wall_ms:>8.1} ms  \
              mean {rt_mean_us:>7.1} us  p95 {rt_p95_us:>7.1} us  {frames_per_sec:>8.0} frames/s"
         );
-        rows.push(NetRow {
-            payload_bytes,
-            frames: frames_per_size,
-            wall_ms,
-            rt_mean_us,
-            rt_p95_us,
-            frames_per_sec,
-        });
+        rows.push(
+            Object::new()
+                .with("payload_bytes", payload_bytes)
+                .with("frames", frames_per_size)
+                .with("wall_ms", wall_ms)
+                .with("rt_mean_us", rt_mean_us)
+                .with("rt_p95_us", rt_p95_us)
+                .with("frames_per_sec", frames_per_sec.round() as u64),
+        );
     }
 
     // -- reconnect cost: kill the endpoint, re-provision, first echo --------
@@ -2058,11 +1783,6 @@ fn e16_net(quick: bool) -> net_trajectory::NetSummary {
     println!(
         "reconnect: {cycles} kill/re-provision cycles  mean {mean_us:>8.1} us  max {max_us:>8.1} us"
     );
-    let reconnect = ReconnectCost {
-        cycles,
-        mean_us,
-        max_us,
-    };
 
     // -- conformance: the steady-state scenario over both backends ----------
     let spec = scenarios::steady_state(true);
@@ -2070,7 +1790,7 @@ fn e16_net(quick: bool) -> net_trajectory::NetSummary {
     let mut tcp_transport = TcpTransport::loopback();
     let (tcp, tcp_truth) = run_scenario_with_transport(&spec, &mut NoAdversary, &mut tcp_transport);
     let stats = tcp_transport.stats();
-    let alert_bytes = |r: &drams_core::monitor::MonitorReport| -> Vec<Vec<u8>> {
+    let alert_bytes = |r: &MonitorReport| -> Vec<Vec<u8>> {
         r.alerts.iter().map(Encode::to_canonical_bytes).collect()
     };
     let matched = stats.frames > 0
@@ -2089,14 +1809,49 @@ fn e16_net(quick: bool) -> net_trajectory::NetSummary {
             "DIVERGED"
         }
     );
-    NetSummary {
-        transport: transport.name().to_string(),
-        rows,
-        reconnect,
-        conformance: Conformance {
-            scenario: spec.name.clone(),
-            frames: stats.frames,
-            matched,
-        },
+    Object::new()
+        .with("transport", transport.name())
+        .with("rows", rows)
+        .with(
+            "reconnect",
+            Object::new()
+                .with("cycles", cycles)
+                .with("mean_us", mean_us)
+                .with("max_us", max_us),
+        )
+        .with(
+            "conformance",
+            Object::new()
+                .with("scenario", spec.name.as_str())
+                .with("frames", stats.frames)
+                .with("matched", matched),
+        )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_accepts_selectors_and_flags() {
+        let all = parse(&[]).unwrap();
+        assert!(all.wants("e1") && all.wants("e16") && !all.quick);
+        let args = parse(&["e4", "e10", "--quick", "--scenario", "steady_state"]).unwrap();
+        assert_eq!(args.selected, ["e4", "e10"]);
+        assert!(args.quick && args.wants("e10") && !args.wants("e5"));
+        assert_eq!(args.scenario.as_deref(), Some("steady_state"));
+        assert!(parse(&["e4", "all"]).unwrap().wants("e9"));
+    }
+
+    #[test]
+    fn parse_args_rejects_unknown_selectors_and_flags() {
+        for bad in [&["e17"][..], &["e4", "--quik"], &["E4"], &["--scenario"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains("--scenario"), "{bad:?}: {err}");
+        }
     }
 }
